@@ -86,6 +86,11 @@ type output struct {
 	SpMVM     spmvmResult `json:"spmvm"`
 	CPStream  cpResult    `json:"cpstream"`
 	Coll      collResult  `json:"collectives"`
+	// SpMVKernel is the compute-layer trajectory recorded with
+	// `go test -bench BenchmarkSpMVKernel ./internal/spmvm`. This tool
+	// does not measure it; it carries the record over from the file it
+	// overwrites.
+	SpMVKernel json.RawMessage `json:"spmvm_kernel,omitempty"`
 }
 
 func gaspiCfg(n int) gaspi.Config {
@@ -439,6 +444,12 @@ func main() {
 	fmt.Printf("  copying:   %.0f MB/s\n", res.CPStream.CopyingMBperS)
 	fmt.Printf("  zero-copy: %.0f MB/s (%.2fx)\n", res.CPStream.ZeroCopyMBperS, res.CPStream.Speedup)
 
+	if prev, err := os.ReadFile(*out); err == nil {
+		var old output
+		if json.Unmarshal(prev, &old) == nil {
+			res.SpMVKernel = old.SpMVKernel
+		}
+	}
 	blob, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

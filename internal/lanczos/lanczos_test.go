@@ -388,6 +388,105 @@ func TestCheckpointRestoreBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// unfusedStep is Step with the orthogonalization and the ‖ω‖ pass kept
+// separate (the form before they were fused), without the eigenvalue
+// update.
+func unfusedStep(s *Solver) error {
+	if err := s.eng.SpMV(s.V, s.w, s.It); err != nil {
+		return err
+	}
+	alpha, err := s.red.Dot(s.comm, s.w, s.V)
+	if err != nil {
+		return err
+	}
+	for i := range s.w {
+		s.w[i] -= alpha*s.V[i] + s.beta*s.VPrev[i]
+	}
+	betaNext, err := s.red.Norm2(s.comm, s.w)
+	if err != nil {
+		return err
+	}
+	s.Alpha = append(s.Alpha, alpha)
+	if s.It > 0 {
+		s.Beta = append(s.Beta, s.beta)
+	}
+	s.beta = betaNext
+	s.VPrev, s.V = s.V, s.VPrev
+	for i := range s.V {
+		s.V[i] = s.w[i] / betaNext
+	}
+	s.It++
+	return nil
+}
+
+// TestFusedStepMatchesUnfused checks that Step's fused orthogonalize-and-
+// norm pass produces the same α, β and Lanczos vector, bit for bit, as
+// the two-pass form.
+func TestFusedStepMatchesUnfused(t *testing.T) {
+	gen := matrix.DefaultGraphene(6, 5, 2)
+	const workers, steps = 3, 25
+	job := gaspi.Launch(gaspi.Config{Procs: workers, Latency: fabric.LatencyModel{Base: time.Microsecond}},
+		func(p *gaspi.Proc) error {
+			c := &spmvm.Direct{P: p, Base: 0, Workers: workers, Group: gaspi.GroupAll}
+			lo, hi := matrix.BlockRange(gen.Dim(), workers, c.Logical())
+			csr := matrix.Build(gen, lo, hi)
+			plan, err := spmvm.Preprocess(c, csr)
+			if err != nil {
+				return err
+			}
+			eng, err := spmvm.NewEngine(c, plan, csr, 7)
+			if err != nil {
+				return err
+			}
+			defer eng.Close()
+			opts := Options{MaxIters: steps, CheckEvery: steps, Seed: 5}
+			fused, err := New(c, eng, opts)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < steps; i++ {
+				if err := fused.Step(); err != nil {
+					return err
+				}
+			}
+			plain, err := New(c, eng, opts)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < steps; i++ {
+				if err := unfusedStep(plain); err != nil {
+					return err
+				}
+			}
+			same := func(a, b []float64) bool {
+				if len(a) != len(b) {
+					return false
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						return false
+					}
+				}
+				return true
+			}
+			if !same(fused.Alpha, plain.Alpha) || !same(fused.Beta, plain.Beta) ||
+				!same(fused.V, plain.V) || fused.beta != plain.beta {
+				return fmt.Errorf("fused step diverged: α %v vs %v, β %v vs %v", fused.Alpha, plain.Alpha, fused.Beta, plain.Beta)
+			}
+			return nil
+		})
+	defer job.Close()
+	res, ok := job.WaitTimeout(60 * time.Second)
+	if !ok {
+		t.Fatal("hung")
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	gen := matrix.Laplacian1D{N: 8}
 	job := gaspi.Launch(gaspi.Config{Procs: 1, Latency: fabric.LatencyModel{Base: time.Microsecond}},

@@ -155,13 +155,19 @@ func (s *Solver) Step() error {
 	if err != nil {
 		return err
 	}
-	for i := range s.w {
-		s.w[i] -= alpha*s.V[i] + s.beta*s.VPrev[i]
+	// One pass: orthogonalize ω and accumulate its local ‖ω‖² in the
+	// order Norm2 would, so the result is bit-identical to two passes.
+	w, v, vp, beta := s.w, s.V[:len(s.w)], s.VPrev[:len(s.w)], s.beta
+	var ww float64
+	for i := range w {
+		w[i] -= alpha*v[i] + beta*vp[i]
+		ww += w[i] * w[i]
 	}
-	betaNext, err := s.red.Norm2(s.comm, s.w)
+	ww, err = s.red.Sum(s.comm, ww)
 	if err != nil {
 		return err
 	}
+	betaNext := math.Sqrt(ww)
 	s.Alpha = append(s.Alpha, alpha)
 	if s.It > 0 {
 		s.Beta = append(s.Beta, s.beta)

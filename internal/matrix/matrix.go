@@ -10,10 +10,7 @@
 // disorder, giving ~13 nonzeros per row (the paper's matrix has ~12.5).
 package matrix
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Generator produces the rows of a sparse symmetric matrix on the fly.
 // Implementations must be deterministic: the same row yields the same
@@ -165,18 +162,16 @@ func min64(a, b int64) int64 {
 	return b
 }
 
+// sortRow sorts one generated row by column. Rows hold ~13 entries, so a
+// typed insertion sort beats sort.Sort's interface dispatch; columns are
+// unique, so the order it produces is the only sorted one.
 func sortRow(cols []int64, vals []float64) {
-	sort.Sort(&rowSorter{cols, vals})
-}
-
-type rowSorter struct {
-	cols []int64
-	vals []float64
-}
-
-func (r *rowSorter) Len() int           { return len(r.cols) }
-func (r *rowSorter) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r *rowSorter) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
+	for i := 1; i < len(cols) && i < len(vals); i++ {
+		c, v := cols[i], vals[i]
+		j := i
+		for ; j > 0 && cols[j-1] > c; j-- {
+			cols[j], vals[j] = cols[j-1], vals[j-1]
+		}
+		cols[j], vals[j] = c, v
+	}
 }

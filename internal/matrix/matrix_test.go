@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -242,6 +243,31 @@ func TestCSRInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortRowMatchesSortSlice checks the insertion sort against the
+// standard library on rows of unique columns: same column order, and each
+// value still travels with its column.
+func TestSortRowMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(16)
+		perm := rng.Perm(40)[:n]
+		cols := make([]int64, n)
+		vals := make([]float64, n)
+		for i, p := range perm {
+			cols[i] = int64(p)
+			vals[i] = float64(p) + 0.5
+		}
+		want := append([]int64(nil), cols...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		sortRow(cols, vals)
+		for i := range cols {
+			if cols[i] != want[i] || vals[i] != float64(cols[i])+0.5 {
+				t.Fatalf("trial %d: got %v / %v, want columns %v", trial, cols, vals, want)
+			}
+		}
 	}
 }
 

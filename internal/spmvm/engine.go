@@ -25,19 +25,35 @@ type FastComm interface {
 	WriteNotifyFrom(to int, seg gaspi.SegmentID, off int64, data []byte, id gaspi.NotificationID, val int64, q gaspi.QueueID) error
 }
 
-// splitCSR is a matrix part with narrow local column indices: either into
-// the owned vector chunk (local part) or into the halo buffer (remote
-// part).
-type splitCSR struct {
-	rowPtr []int64
-	col    []int32
-	val    []float64
+// sellC is the chunk height of the SELL-C-σ storage (Kreutzer et al., SIAM
+// J. Sci. Comput. 36(5), 2014) the engine keeps its matrix parts in.
+const sellC = 8
+
+// sellPart is a matrix part in SELL-8 storage (σ = 1: rows keep their
+// order) with narrow local column indices: either into the owned vector
+// chunk (local part) or into the halo buffer (remote part).
+//
+// Chunk c holds rows [8c, 8c+8), the last chunk padded up to eight lanes.
+// Its entries are col/val[ptr[c]:ptr[c+1]], stored column-major: slot j of
+// the chunk's row 8c+l is at ptr[c] + 8j + l. Every row of a chunk is
+// padded to the chunk's widest row, (ptr[c+1]-ptr[c])/8 entries. Padding
+// slots hold val = +0 and a column the row already reads (any column of
+// the chunk for a row with no entry in this part, which includes the
+// padding lanes of the last chunk), so with finite x a padded row sums the
+// same products in the same order as its CSR row: results are
+// bit-identical.
+type sellPart struct {
+	ptr []int32
+	col []int32
+	val []float64
 }
 
-// mulTask is one shard of a compute loop, executed by the engine's
-// persistent worker pool.
+func (s *sellPart) chunks() int { return len(s.ptr) - 1 }
+
+// mulTask is one shard of a compute loop (a range of chunks), executed by
+// the engine's persistent worker pool.
 type mulTask struct {
-	s      *splitCSR
+	s      *sellPart
 	x, y   []float64
 	add    bool
 	lo, hi int
@@ -70,8 +86,7 @@ type Engine struct {
 	plan *Plan
 	seg  gaspi.SegmentID
 
-	local, remote splitCSR
-	haloIdx       map[int64]int32 // global col → halo slot
+	local, remote sellPart
 
 	// Threads shards the compute loops (the paper runs 12 OpenMP threads
 	// per process; sharding preserves the compute structure). Set before
@@ -127,10 +142,6 @@ func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engin
 			plan.Workers, 2*plan.Workers, slots)
 	}
 	e := &Engine{comm: c, plan: plan, seg: seg, Threads: 1}
-	e.haloIdx = make(map[int64]int32, len(plan.HaloCols))
-	for i, col := range plan.HaloCols {
-		e.haloIdx[col] = int32(i)
-	}
 	if err := e.split(csr); err != nil {
 		return nil, err
 	}
@@ -185,29 +196,94 @@ func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engin
 	return e, nil
 }
 
+// split builds the local and remote SELL-8 parts straight from the CSR
+// block in two passes: count each chunk's widest row per part, allocate
+// exactly, then fill and pad.
 func (e *Engine) split(csr *matrix.CSR) error {
 	lo, hi := e.plan.Lo, e.plan.Hi
-	e.local.rowPtr = make([]int64, 1, csr.LocalRows()+1)
-	e.remote.rowPtr = make([]int64, 1, csr.LocalRows()+1)
-	for r := 0; r < csr.LocalRows(); r++ {
-		for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
-			col, val := csr.Col[k], csr.Val[k]
-			if col >= lo && col < hi {
-				e.local.col = append(e.local.col, int32(col-lo))
-				e.local.val = append(e.local.val, val)
-			} else {
-				slot, ok := e.haloIdx[col]
-				if !ok {
-					return fmt.Errorf("spmvm: column %d missing from plan halo", col)
+	haloIdx := make(map[int64]int32, len(e.plan.HaloCols)) // global col → halo slot
+	for i, col := range e.plan.HaloCols {
+		haloIdx[col] = int32(i)
+	}
+	rows := csr.LocalRows()
+	nch := (rows + sellC - 1) / sellC
+	e.local = sellPart{ptr: make([]int32, nch+1)}
+	e.remote = sellPart{ptr: make([]int32, nch+1)}
+	var nLoc, nRem int64
+	for c := 0; c < nch; c++ {
+		var wLoc, wRem int64
+		for r := c * sellC; r < min(c*sellC+sellC, rows); r++ {
+			var l int64
+			for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+				if col := csr.Col[k]; col >= lo && col < hi {
+					l++
 				}
-				e.remote.col = append(e.remote.col, slot)
-				e.remote.val = append(e.remote.val, val)
+			}
+			wLoc = max(wLoc, l)
+			wRem = max(wRem, csr.RowPtr[r+1]-csr.RowPtr[r]-l)
+		}
+		nLoc += sellC * wLoc
+		nRem += sellC * wRem
+		if max(nLoc, nRem) > math.MaxInt32 {
+			return fmt.Errorf("spmvm: padded block of %d rows exceeds %d entries", rows, math.MaxInt32)
+		}
+		e.local.ptr[c+1] = int32(nLoc)
+		e.remote.ptr[c+1] = int32(nRem)
+	}
+	e.local.col, e.local.val = make([]int32, nLoc), make([]float64, nLoc)
+	e.remote.col, e.remote.val = make([]int32, nRem), make([]float64, nRem)
+	for c := 0; c < nch; c++ {
+		var nl, nr [sellC]int32 // per lane: entries placed so far
+		lb, rb := e.local.ptr[c], e.remote.ptr[c]
+		for r := c * sellC; r < min(c*sellC+sellC, rows); r++ {
+			l := r - c*sellC
+			for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+				col, val := csr.Col[k], csr.Val[k]
+				if col >= lo && col < hi {
+					i := lb + sellC*nl[l] + int32(l)
+					e.local.col[i], e.local.val[i] = int32(col-lo), val
+					nl[l]++
+				} else {
+					slot, ok := haloIdx[col]
+					if !ok {
+						return fmt.Errorf("spmvm: column %d missing from plan halo", col)
+					}
+					i := rb + sellC*nr[l] + int32(l)
+					e.remote.col[i], e.remote.val[i] = slot, val
+					nr[l]++
+				}
 			}
 		}
-		e.local.rowPtr = append(e.local.rowPtr, int64(len(e.local.col)))
-		e.remote.rowPtr = append(e.remote.rowPtr, int64(len(e.remote.col)))
+		e.local.pad(c, &nl)
+		e.remote.pad(c, &nr)
 	}
 	return nil
+}
+
+// pad fills chunk c's padding slots beyond each lane's n[l] placed entries
+// with the lane's last column (or the chunk's first column for an empty
+// lane); their values are already +0.
+func (s *sellPart) pad(c int, n *[sellC]int32) {
+	base, end := s.ptr[c], s.ptr[c+1]
+	if base == end {
+		return
+	}
+	var first int32
+	for l := range n {
+		if n[l] > 0 {
+			first = s.col[base+int32(l)]
+			break
+		}
+	}
+	for l := range n {
+		fill := first
+		if n[l] > 0 {
+			fill = s.col[base+sellC*(n[l]-1)+int32(l)]
+		}
+		for i := base + sellC*n[l] + int32(l); i < end; i += sellC {
+			s.col[i] = fill
+		}
+	}
 }
 
 // Plan returns the engine's communication plan.
@@ -386,19 +462,19 @@ func (e *Engine) haloVec(parity int) []float64 {
 	return e.halo
 }
 
-// mul computes y = S·x (add=false) or y += S·x (add=true), sharded across
-// the engine's persistent worker pool (started lazily, sized Threads-1;
-// the calling goroutine computes the first shard itself).
+// mul computes y = S·x (add=false) or y += S·x (add=true), sharded by
+// whole chunks across the engine's persistent worker pool (started lazily,
+// sized Threads-1; the calling goroutine computes the first shard itself).
 //
 //ftlint:hotpath
-func (e *Engine) mul(s *splitCSR, x, y []float64, add bool) {
-	rows := len(s.rowPtr) - 1
-	if e.Threads <= 1 || rows < 4*e.Threads {
-		mulRange(s, x, y, add, 0, rows)
+func (e *Engine) mul(s *sellPart, x, y []float64, add bool) {
+	n := s.chunks()
+	if e.Threads <= 1 || n < 2*e.Threads {
+		s.mulChunks(x, y, add, 0, n)
 		return
 	}
 	if e.Legacy {
-		e.mulLegacy(s, x, y, add, rows)
+		e.mulLegacy(s, x, y, add, n)
 		return
 	}
 	if e.tasks == nil {
@@ -407,38 +483,79 @@ func (e *Engine) mul(s *splitCSR, x, y []float64, add bool) {
 			go mulWorker(e.tasks)
 		}
 	}
-	chunk := (rows + e.Threads - 1) / e.Threads
+	share := (n + e.Threads - 1) / e.Threads
 	for t := 1; t < e.Threads; t++ {
-		lo := t * chunk
-		hi := min(lo+chunk, rows)
+		lo := t * share
+		hi := min(lo+share, n)
 		if lo >= hi {
 			break
 		}
 		e.mulWG.Add(1)
 		e.tasks <- mulTask{s: s, x: x, y: y, add: add, lo: lo, hi: hi, wg: &e.mulWG}
 	}
-	mulRange(s, x, y, add, 0, min(chunk, rows))
+	s.mulChunks(x, y, add, 0, min(share, n))
 	e.mulWG.Wait()
 }
 
 func mulWorker(tasks <-chan mulTask) {
 	for t := range tasks {
-		mulRange(t.s, t.x, t.y, t.add, t.lo, t.hi)
+		t.s.mulChunks(t.x, t.y, t.add, t.lo, t.hi)
 		t.wg.Done()
 	}
 }
 
+// mulChunks is the SELL-8 kernel over chunks [lo, hi): eight independent
+// accumulators per chunk, one per row, so the adds of different rows
+// overlap instead of forming one serial chain per row. y holds every row
+// of the part. In add mode chunks of width 0 are skipped (a remote part's
+// interior chunks).
+//
 //ftlint:hotpath
-func mulRange(s *splitCSR, x, y []float64, add bool, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		var acc float64
-		for k := s.rowPtr[r]; k < s.rowPtr[r+1]; k++ {
-			acc += s.val[k] * x[s.col[k]]
+func (s *sellPart) mulChunks(x, y []float64, add bool, lo, hi int) {
+	for c := lo; c < hi; c++ {
+		b, end := s.ptr[c], s.ptr[c+1]
+		if add && b == end {
+			continue
 		}
-		if add {
-			y[r] += acc
-		} else {
-			y[r] = acc
+		col, val := s.col[b:end], s.val[b:end]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for len(val) >= sellC && len(col) >= sellC {
+			v, j := val[:sellC:sellC], col[:sellC:sellC]
+			val, col = val[sellC:], col[sellC:]
+			a0 += v[0] * x[j[0]]
+			a1 += v[1] * x[j[1]]
+			a2 += v[2] * x[j[2]]
+			a3 += v[3] * x[j[3]]
+			a4 += v[4] * x[j[4]]
+			a5 += v[5] * x[j[5]]
+			a6 += v[6] * x[j[6]]
+			a7 += v[7] * x[j[7]]
+		}
+		r := c * sellC
+		if r+sellC <= len(y) {
+			o := y[r : r+sellC : r+sellC]
+			if add {
+				o[0] += a0
+				o[1] += a1
+				o[2] += a2
+				o[3] += a3
+				o[4] += a4
+				o[5] += a5
+				o[6] += a6
+				o[7] += a7
+			} else {
+				o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+				o[4], o[5], o[6], o[7] = a4, a5, a6, a7
+			}
+			continue
+		}
+		acc := [sellC]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+		for l := range y[r:] {
+			if add {
+				y[r+l] += acc[l]
+			} else {
+				y[r+l] = acc[l]
+			}
 		}
 	}
 }
@@ -453,9 +570,7 @@ type DotScratch struct {
 }
 
 // Dot computes the global dot product of the owned chunks a·b via local
-// accumulation plus an Allreduce, taking the Into form of the collective
-// when the Comm offers it (the registered-segment fast path runs the
-// single-element reduction without encode/decode).
+// accumulation plus Sum.
 //
 //ftlint:hotpath
 func (d *DotScratch) Dot(c Comm, a, b []float64) (float64, error) {
@@ -463,6 +578,17 @@ func (d *DotScratch) Dot(c Comm, a, b []float64) (float64, error) {
 	for i := range a {
 		local += a[i] * b[i]
 	}
+	return d.Sum(c, local)
+}
+
+// Sum adds every rank's local value with an Allreduce, taking the Into
+// form of the collective when the Comm offers it (the registered-segment
+// fast path runs the single-element reduction without encode/decode).
+// Callers that fuse a local accumulation into another pass use it
+// directly.
+//
+//ftlint:hotpath
+func (d *DotScratch) Sum(c Comm, local float64) (float64, error) {
 	if ci, ok := c.(CollInto); ok {
 		d.in[0] = local
 		if err := ci.AllreduceF64Into(d.in[:], d.out[:], gaspi.OpSum); err != nil {

@@ -106,19 +106,19 @@ func (e *Engine) haloVectorLegacy() ([]float64, error) {
 	return halo, nil
 }
 
-func (e *Engine) mulLegacy(s *splitCSR, x, y []float64, add bool, rows int) {
+func (e *Engine) mulLegacy(s *sellPart, x, y []float64, add bool, n int) {
 	var wg sync.WaitGroup
-	chunk := (rows + e.Threads - 1) / e.Threads
+	share := (n + e.Threads - 1) / e.Threads
 	for t := 0; t < e.Threads; t++ {
-		lo := t * chunk
-		hi := min(lo+chunk, rows)
+		lo := t * share
+		hi := min(lo+share, n)
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			mulRange(s, x, y, add, lo, hi)
+			s.mulChunks(x, y, add, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
