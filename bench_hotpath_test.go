@@ -21,16 +21,13 @@ import (
 //     inter-iteration barrier). MUST report 0 allocs/op: the gather lands
 //     in the registered send region, the remote part reads the halo in
 //     place, completions are pooled and the hot waits poll before parking.
-//   - BenchmarkSpMVLegacy: the same computation through the preserved
-//     pre-optimization path (per-iteration allocations, copying writes,
-//     barrier-separated iterations) — the "before" of the trajectory.
 //   - BenchmarkCPStreamPush: checkpoint-stream flush throughput, zero-copy
 //     vs copying chunk posts.
 //
 // cmd/bench-hotpath runs the same workloads standalone and emits
 // BENCH_hotpath.json.
 
-func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
+func benchSpMVJob(b *testing.B, threads, workers, shards int) {
 	gen := matrix.DefaultGraphene(64, 32, 5)
 	const warm = 64
 	benchJobCfg(b, gaspi.Config{
@@ -56,25 +53,15 @@ func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
 			return err
 		}
 		defer eng.Close()
-		eng.Legacy = legacy
 		eng.Threads = threads
 		x := make([]float64, hi-lo)
 		y := make([]float64, hi-lo)
 		for i := range x {
 			x[i] = float64(i%17) * 0.25
 		}
-		sync := func() error {
-			if legacy {
-				return c.Barrier() // the legacy path requires it
-			}
-			return nil
-		}
 		// Warm up: grow freelists, pump heaps and caches to steady state.
 		for i := 0; i < warm; i++ {
 			if err := eng.SpMV(x, y, int64(i)); err != nil {
-				return err
-			}
-			if err := sync(); err != nil {
 				return err
 			}
 		}
@@ -93,9 +80,6 @@ func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
 			if err := eng.SpMV(x, y, int64(warm+i)); err != nil {
 				return err
 			}
-			if err := sync(); err != nil {
-				return err
-			}
 		}
 		if err := c.Barrier(); err != nil {
 			return err
@@ -108,7 +92,7 @@ func benchSpMVJob(b *testing.B, legacy bool, threads, workers, shards int) {
 }
 
 func BenchmarkSpMV(b *testing.B) {
-	benchSpMVJob(b, false, 1, 2, 0)
+	benchSpMVJob(b, 1, 2, 0)
 }
 
 // BenchmarkSpMVSharded is the sharded-data-plane allocation gate: six
@@ -118,7 +102,7 @@ func BenchmarkSpMV(b *testing.B) {
 // greps for it — proving sharding did not reintroduce boxing anywhere in
 // the spMVM steady state.
 func BenchmarkSpMVSharded(b *testing.B) {
-	benchSpMVJob(b, false, 1, 6, 4)
+	benchSpMVJob(b, 1, 6, 4)
 }
 
 // benchCollJob measures the collective hot path (or its preserved legacy
@@ -230,10 +214,6 @@ func BenchmarkCollAllreduceF64Large(b *testing.B) {
 		}
 		return nil
 	})
-}
-
-func BenchmarkSpMVLegacy(b *testing.B) {
-	benchSpMVJob(b, true, 1, 2, 0)
 }
 
 func BenchmarkCPStreamPush(b *testing.B) {

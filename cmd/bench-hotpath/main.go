@@ -1,14 +1,13 @@
 // Command bench-hotpath seeds the repo's performance trajectory: it
-// measures the zero-copy registered-segment data plane against the
-// preserved pre-optimization (legacy) path in the same binary and emits
-// BENCH_hotpath.json.
+// measures the zero-copy registered-segment data plane (against the
+// preserved pre-optimization collective path in the same binary) and
+// emits BENCH_hotpath.json.
 //
 // Four measurements:
 //
-//   - spMVM iteration throughput: the distributed y = A·x hot loop,
-//     legacy (copying writes, per-iteration allocations, barrier-separated
-//     iterations) vs fast path (gather into the registered send region,
-//     zero-copy WriteNotify, parity-buffered free-running iterations).
+//   - spMVM iteration throughput: the distributed y = A·x hot loop
+//     (gather into the registered send region, zero-copy WriteNotify,
+//     parity-buffered free-running iterations).
 //   - spMVM steady-state allocations per iteration on the fast path
 //     (must be ~0; go test -bench BenchmarkSpMV cross-checks with 0
 //     allocs/op).
@@ -43,13 +42,10 @@ type spmvmResult struct {
 	Dim               int64   `json:"dim"`
 	Iters             int     `json:"iters"`
 	Threads           int     `json:"threads"`
-	BaselineItersPerS float64 `json:"baseline_iters_per_sec"`
 	FastpathItersPerS float64 `json:"fastpath_iters_per_sec"`
-	Speedup           float64 `json:"speedup"`
 	FastAllocsPerIter float64 `json:"fastpath_allocs_per_iter"`
 	FastBytesPerIter  float64 `json:"fastpath_bytes_per_iter"`
 	FastDeliveredFrac float64 `json:"fastpath_delivered_fraction"`
-	BaselineNsPerIter float64 `json:"baseline_ns_per_iter"`
 	FastpathNsPerIter float64 `json:"fastpath_ns_per_iter"`
 }
 
@@ -91,6 +87,9 @@ type output struct {
 	// does not measure it; it carries the record over from the file it
 	// overwrites.
 	SpMVKernel json.RawMessage `json:"spmvm_kernel,omitempty"`
+	// SpMVLegacy is the last measurement of the removed pre-optimization
+	// spMVM engine, carried over the same way.
+	SpMVLegacy json.RawMessage `json:"spmvm_legacy_retired,omitempty"`
 }
 
 func gaspiCfg(n int) gaspi.Config {
@@ -169,7 +168,7 @@ func runColl(workers, ops int, legacy bool, makeOp func(p *gaspi.Proc) func() er
 // ranks and returns the wall time of the measured section plus the
 // process-wide allocation delta (all ranks are in steady state during the
 // window, so the delta is attributable to the hot loop).
-func runSpMV(gen matrix.Generator, workers, iters, threads int, legacy bool) (wall time.Duration, allocs, bytes float64, fastFrac float64, err error) {
+func runSpMV(gen matrix.Generator, workers, iters, threads int) (wall time.Duration, allocs, bytes float64, fastFrac float64, err error) {
 	const warm = 50
 	var mu sync.Mutex
 	job := gaspi.Launch(gaspiCfg(workers), func(p *gaspi.Proc) error {
@@ -185,24 +184,14 @@ func runSpMV(gen matrix.Generator, workers, iters, threads int, legacy bool) (wa
 			return err
 		}
 		defer eng.Close()
-		eng.Legacy = legacy
 		eng.Threads = threads
 		x := make([]float64, hi-lo)
 		y := make([]float64, hi-lo)
 		for i := range x {
 			x[i] = float64(i%13) * 0.5
 		}
-		step := func(it int) error {
-			if err := eng.SpMV(x, y, int64(it)); err != nil {
-				return err
-			}
-			if legacy {
-				return c.Barrier() // the legacy protocol requires it
-			}
-			return nil
-		}
 		for i := 0; i < warm; i++ {
-			if err := step(i); err != nil {
+			if err := eng.SpMV(x, y, int64(i)); err != nil {
 				return err
 			}
 		}
@@ -220,7 +209,7 @@ func runSpMV(gen matrix.Generator, workers, iters, threads int, legacy bool) (wa
 			return err
 		}
 		for i := 0; i < iters; i++ {
-			if err := step(warm + i); err != nil {
+			if err := eng.SpMV(x, y, int64(warm+i)); err != nil {
 				return err
 			}
 		}
@@ -321,12 +310,7 @@ func main() {
 	gen := matrix.DefaultGraphene(32, 16, 5)
 
 	fmt.Printf("spMVM: %d workers, dim %d, %d iters\n", *workers, gen.Dim(), *iters)
-	legacyWall, _, _, _, err := runSpMV(gen, *workers, *iters, *threads, true)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "legacy run:", err)
-		os.Exit(1)
-	}
-	fastWall, allocs, bytes, fastFrac, err := runSpMV(gen, *workers, *iters, *threads, false)
+	fastWall, allocs, bytes, fastFrac, err := runSpMV(gen, *workers, *iters, *threads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fastpath run:", err)
 		os.Exit(1)
@@ -342,20 +326,15 @@ func main() {
 			Dim:               gen.Dim(),
 			Iters:             *iters,
 			Threads:           *threads,
-			BaselineItersPerS: float64(*iters) / legacyWall.Seconds(),
 			FastpathItersPerS: float64(*iters) / fastWall.Seconds(),
-			Speedup:           legacyWall.Seconds() / fastWall.Seconds(),
 			FastAllocsPerIter: allocs,
 			FastBytesPerIter:  bytes,
 			FastDeliveredFrac: fastFrac,
-			BaselineNsPerIter: float64(legacyWall.Nanoseconds()) / float64(*iters),
 			FastpathNsPerIter: float64(fastWall.Nanoseconds()) / float64(*iters),
 		},
 	}
-	fmt.Printf("  baseline: %.0f iters/s (%.1f µs/iter)\n", res.SpMVM.BaselineItersPerS, res.SpMVM.BaselineNsPerIter/1e3)
 	fmt.Printf("  fastpath: %.0f iters/s (%.1f µs/iter), %.2f allocs/iter, %.0f%% sink-delivered\n",
 		res.SpMVM.FastpathItersPerS, res.SpMVM.FastpathNsPerIter/1e3, allocs, fastFrac*100)
-	fmt.Printf("  speedup:  %.2fx\n", res.SpMVM.Speedup)
 
 	// Collective trajectory: barrier and small/large allreduce, legacy
 	// message path vs registered-segment fast path.
@@ -448,6 +427,7 @@ func main() {
 		var old output
 		if json.Unmarshal(prev, &old) == nil {
 			res.SpMVKernel = old.SpMVKernel
+			res.SpMVLegacy = old.SpMVLegacy
 		}
 	}
 	blob, err := json.MarshalIndent(res, "", "  ")

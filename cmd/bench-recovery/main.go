@@ -6,13 +6,13 @@
 // Three measurements:
 //
 //   - Checkpoint visible cost vs dirty fraction (10%/50%/100%): the
-//     application-visible Write time of the legacy full-blob format vs
-//     the incremental delta engine (chunk-hash diff, dirty chunks only,
-//     full base every FullEvery-th generation), plus the neighbor
-//     replication bytes each arm ships.
-//   - Restore bandwidth: one replicated checkpoint generation restored
-//     with the legacy sequential tier walk vs the striped multi-source
-//     fetcher that fans stripes out to every intact replica concurrently.
+//     application-visible Write time with every generation a full base
+//     vs delta generations (chunk-hash diff, dirty chunks only, full base
+//     every FullEvery-th generation), plus the neighbor replication bytes
+//     each arm ships.
+//   - Restore bandwidth: one checkpoint generation restored by the same
+//     fetcher from a single replica and from every replica at once
+//     (stripes fanned out to all intact copies concurrently).
 //   - End-to-end time-to-recover: the scenario engine's mid-iteration
 //     kill -9 with the delta engine enabled, decomposed into
 //     detect → ack → rebuild → restore from the trace counters, and
@@ -38,7 +38,11 @@ type output struct {
 	NumCPU     int                            `json:"num_cpu"`
 	Checkpoint []experiment.CheckpointCostRow `json:"checkpoint_cost"`
 	Restore    experiment.RestoreBenchRow     `json:"restore"`
-	TTR        experiment.TTRRow              `json:"ttr"`
+	// RestoreRetired is the last measurement of the removed sequential
+	// tier-walk restore. This tool no longer measures it; it carries the
+	// record over from the file it overwrites.
+	RestoreRetired json.RawMessage   `json:"restore_retired_sequential,omitempty"`
+	TTR            experiment.TTRRow `json:"ttr"`
 	// TTRLocalized is the same kill measured under the localized
 	// O(degree) repair instead of the global recommit.
 	TTRLocalized experiment.TTRRow `json:"ttr_localized"`
@@ -86,8 +90,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "restore arm:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("  sequential: %.2f ms (%.0f MB/s)\n", restore.SequentialMs, restore.SequentialMBpS)
-	fmt.Printf("  striped:    %.2f ms (%.0f MB/s, %.2fx)\n", restore.StripedMs, restore.StripedMBpS, restore.Speedup)
+	fmt.Printf("  1 replica:  %.2f ms (%.0f MB/s)\n", restore.SingleMs, restore.SingleMBpS)
+	fmt.Printf("  %d replicas: %.2f ms (%.0f MB/s, %.2fx)\n", restore.Sources, restore.StripedMs, restore.StripedMBpS, restore.Speedup)
 
 	fmt.Println("end-to-end time-to-recover: kill -9 mid-iteration, delta engine")
 	ttr, err := experiment.RunTTRBench(cfg, false)
@@ -113,15 +117,21 @@ func main() {
 		ttrFo.Outcome, ttrFo.WallS, ttrFo.DetectMs, ttrFo.AckMs, ttrFo.LocalizedMs, ttrFo.FailoverMs, ttrFo.RestoreMs, ttrFo.TTRMs, ttrFo.ItersLost)
 
 	res := output{
-		Benchmark:  "recovery",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
+		Benchmark:    "recovery",
+		GOOS:         runtime.GOOS,
+		GOARCH:       runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
 		Checkpoint:   rows,
 		Restore:      restore,
 		TTR:          ttr,
 		TTRLocalized: ttrLoc,
 		TTRFailover:  ttrFo,
+	}
+	if prev, err := os.ReadFile(*out); err == nil {
+		var old output
+		if json.Unmarshal(prev, &old) == nil {
+			res.RestoreRetired = old.RestoreRetired
+		}
 	}
 	blob, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

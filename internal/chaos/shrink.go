@@ -48,7 +48,8 @@ func Shrink(r *Runner, failing EpisodeResult) (EpisodeResult, int) {
 	}
 
 	// Pass 2: simplify the engine knobs — a failure that survives with
-	// the plain synchronous full-blob engine is a much smaller haystack.
+	// the plain synchronous engine writing only full bases is a much
+	// smaller haystack.
 	// Async can only be dropped when no during-flush trigger remains
 	// (the trigger would never fire without the background flusher).
 	if best.Episode.Spec.Async && !needsAsync(best.Episode) {

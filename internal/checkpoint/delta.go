@@ -7,16 +7,17 @@ import (
 	"sync/atomic"
 )
 
-// The incremental delta engine. Iterative applications mutate only part of
-// their state between checkpoint epochs (a Lanczos step touches the two
-// rotating vectors, not the whole basis), yet the legacy write path ships
-// the full blob every interval — local commit, neighbor replication, and
-// the optional PFS copy all pay for bytes that did not change. With
-// Config.FullEvery > 1 the library chunks each payload at the replication
-// granularity (Config.ChunkSize), keeps a per-(name,logical) chunk-hash
-// table, and writes only the dirty chunks as a *delta generation* chained
-// onto the previous generation; every FullEvery-th generation is a
-// self-contained full base so chains stay short.
+// The checkpoint frame chain. Every checkpoint generation is written as a
+// generation-tagged frame: a self-contained full base (GCP4) or a
+// dirty-chunk delta (GCP3) chained onto the previous generation.
+// Iterative applications mutate only part of their state between
+// checkpoint epochs (a Lanczos step touches the two rotating vectors, not
+// the whole basis), so with Config.FullEvery > 1 the library chunks each
+// payload at the replication granularity (Config.ChunkSize), keeps a
+// per-(name,logical) chunk-hash table, and writes only the dirty chunks
+// as a delta; every FullEvery-th generation is a full base so chains stay
+// short. FullEvery <= 1 makes every generation a full base and skips the
+// chunk hashing.
 //
 // Chain identity. Restoring a delta requires the exact payload it was
 // diffed against. Version numbers alone cannot guarantee that: after a
@@ -30,20 +31,15 @@ import (
 // tag, so a forked chain is detected as broken (and an older intact chain
 // is selected) instead of being silently mis-assembled. As a second line
 // of defense each delta carries a CRC of the complete reassembled payload.
-//
-// The legacy full-blob format (FullEvery <= 1, the default) is untouched
-// and remains selectable for before/after comparisons.
 
-// Frame kinds (FrameKind classifies an encoded checkpoint frame).
+// Frame kinds (FrameKind classifies an encoded checkpoint frame). The
+// values are part of the seal format.
 type FrameKind byte
 
 // Frame kinds.
 const (
-	// KindLegacy is the untagged full-blob frame (GCP1/GCP2): the
-	// pre-delta format, still written when the delta engine is disabled.
-	KindLegacy FrameKind = iota
 	// KindFull is a generation-tagged full base frame (GCP4).
-	KindFull
+	KindFull FrameKind = iota + 1
 	// KindDelta is a dirty-chunk delta frame (GCP3) chained onto the
 	// previous generation.
 	KindDelta
@@ -56,7 +52,7 @@ func (k FrameKind) String() string {
 	case KindDelta:
 		return "delta"
 	default:
-		return "legacy"
+		return "invalid"
 	}
 }
 
@@ -71,8 +67,7 @@ type chainInfo struct {
 
 // genCounter issues process-unique generation tags. The whole simulated
 // cluster lives in one OS process, so a single atomic counter makes tags
-// unique across every rank and every library instance; 0 is reserved for
-// "untagged" (legacy frames).
+// unique across every rank and every library instance; 0 is never issued.
 var genCounter atomic.Uint64
 
 func nextGen() uint64 { return genCounter.Add(1) }
@@ -111,24 +106,86 @@ func hashMix(x uint64) uint64 {
 	return x
 }
 
-// deltaKey identifies one checkpoint family's chain state.
-type deltaKey struct {
+// chainEncoder is the encode side of one frame chain: the full-base
+// cadence, the chunk hashes of the last encoded payload (what the next
+// delta is diffed against) and the chain head. The library keeps one per
+// (name, logical); MirrorEncoder wraps one. Not safe for concurrent use.
+type chainEncoder struct {
+	chunk     int
+	fullEvery int      // <= 1: every frame is a full base, no hashing
+	hashes    []uint64 // chunk hashes of the last encoded payload
+	scratch   []uint64 // next generation's hashes (swapped, not reallocated)
+	lastVer   int64
+	lastGen   uint64 // 0: no chain yet, the next frame is a full base
+	sinceFull int
+}
+
+func newChainEncoder(chunkBytes, fullEvery int) *chainEncoder {
+	if chunkBytes <= 0 {
+		chunkBytes = DefaultChunkBytes
+	}
+	return &chainEncoder{chunk: chunkBytes, fullEvery: fullEvery}
+}
+
+// rebase forces the next frame to be a full base.
+func (c *chainEncoder) rebase() {
+	c.lastGen = 0
+	c.sinceFull = 0
+}
+
+// encode encodes payload as the next frame of the chain into dst's
+// backing array and returns the frame and its kind. ds, when non-nil,
+// accumulates the frame into the write-path counters.
+//
+//ftlint:hotpath
+func (c *chainEncoder) encode(dst []byte, logical int, version int64, payload []byte, ds *DeltaStats) ([]byte, FrameKind) {
+	n := (len(payload) + c.chunk - 1) / c.chunk
+	var cur []uint64
+	if c.fullEvery > 1 {
+		if cap(c.scratch) < n {
+			c.scratch = make([]uint64, n) //ftlint:ignore hotpath: amortized growth, swapped across generations
+		}
+		cur = c.scratch[:n]
+		for i := range cur {
+			cur[i] = chunkHash(payload[i*c.chunk : min((i+1)*c.chunk, len(payload))])
+		}
+	}
+	gen := nextGen()
+	var blob []byte
+	kind := KindFull
+	if c.lastGen == 0 || c.sinceFull+1 >= c.fullEvery {
+		blob = encodeFullInto(dst, logical, version, gen, payload)
+		c.sinceFull = 0
+	} else {
+		blob = encodeDeltaInto(dst, logical, version, chainInfo{
+			kind: KindDelta, gen: gen, prevGen: c.lastGen, prevVer: c.lastVer,
+		}, payload, c.chunk, c.hashes, cur, ds)
+		c.sinceFull++
+		kind = KindDelta
+	}
+	if ds != nil {
+		ds.TotalChunks += int64(n)
+		if kind == KindFull {
+			ds.FullFrames++
+			ds.FullBytes += int64(len(blob))
+		} else {
+			ds.DeltaFrames++
+			ds.DeltaBytes += int64(len(blob))
+		}
+	}
+	c.hashes, c.scratch = cur, c.hashes
+	c.lastVer = version
+	c.lastGen = gen
+	return blob, kind
+}
+
+// chainKey identifies one checkpoint family's chain.
+type chainKey struct {
 	name    string
 	logical int
 }
 
-// deltaState is the per-(name,logical) chunk-hash table: the hashes of the
-// last staged payload (what the next delta is diffed against), the chain
-// head, and the full-base cadence counter.
-type deltaState struct {
-	hashes    []uint64 // chunk hashes of the last staged payload
-	scratch   []uint64 // next generation's hashes (swapped, not reallocated)
-	lastVer   int64
-	lastGen   uint64
-	sinceFull int
-}
-
-// DeltaStats describes what the delta write path has done (totals since
+// DeltaStats describes what the write path has encoded (totals since
 // New). FullBytes/DeltaBytes are encoded frame sizes — the bytes that hit
 // the local store and the replication transports.
 type DeltaStats struct {
@@ -140,89 +197,55 @@ type DeltaStats struct {
 	TotalChunks int64
 }
 
-// DeltaStats returns the delta engine's counters (zero when the engine is
-// disabled).
+// DeltaStats returns the write path's frame counters.
 func (l *Library) DeltaStats() DeltaStats {
-	l.deltaMu.Lock()
-	defer l.deltaMu.Unlock()
+	l.chainMu.Lock()
+	defer l.chainMu.Unlock()
 	return l.dstats
 }
 
-// deltaEnabled reports whether the incremental engine is active.
+// deltaEnabled reports whether generations between full bases are deltas.
 func (l *Library) deltaEnabled() bool { return l.cfg.FullEvery > 1 }
 
-// resetDeltaState drops every chunk-hash table, forcing the next write of
-// each family to be a full base. Called by SetWorkerNodes: after a
-// recovery the surviving replicas of recent generations may be gone with
-// the failed node, and re-basing bounds the window during which new deltas
-// would chain onto unreachable predecessors.
-func (l *Library) resetDeltaState() {
-	l.deltaMu.Lock()
-	l.deltas = nil
-	l.deltaMu.Unlock()
+// rebaseChains drops every chain encoder, forcing the next write of each
+// family to be a full base. Called by SetWorkerNodes: after a recovery the
+// surviving replicas of recent generations may be gone with the failed
+// node, and re-basing bounds the window during which new deltas would
+// chain onto unreachable predecessors.
+func (l *Library) rebaseChains() {
+	l.chainMu.Lock()
+	l.chains = nil
+	l.chainMu.Unlock()
 }
 
 // encodeNext encodes the next generation of (name, logical) into dst's
-// backing array: the legacy full blob when the delta engine is off, and
-// otherwise a tagged full base or a dirty-chunk delta per the FullEvery
-// cadence. It updates the chunk-hash table, so generations follow staging
-// order (the async writer stages strictly in Write order).
+// backing array: a tagged full base or a dirty-chunk delta per the
+// FullEvery cadence. Generations follow staging order (the async writer
+// stages strictly in Write order).
 //
 //ftlint:hotpath
-func (l *Library) encodeNext(dst []byte, name string, logical int, version int64, payload []byte) ([]byte, error) {
-	if !l.deltaEnabled() {
-		return encodeInto(dst, logical, version, payload, l.cfg.Compress)
+func (l *Library) encodeNext(dst []byte, name string, logical int, version int64, payload []byte) []byte {
+	l.chainMu.Lock()
+	defer l.chainMu.Unlock()
+	if l.chains == nil {
+		l.chains = make(map[chainKey]*chainEncoder) //ftlint:ignore hotpath: lazy one-time table init
 	}
-	l.deltaMu.Lock()
-	defer l.deltaMu.Unlock()
-	if l.deltas == nil {
-		l.deltas = make(map[deltaKey]*deltaState) //ftlint:ignore hotpath: lazy one-time table init
+	k := chainKey{name: name, logical: logical}
+	c := l.chains[k]
+	if c == nil {
+		c = newChainEncoder(l.cfg.ChunkSize(), l.cfg.FullEvery) //ftlint:ignore hotpath: one-time per checkpoint family
+		l.chains[k] = c
 	}
-	k := deltaKey{name: name, logical: logical}
-	st := l.deltas[k]
-	if st == nil {
-		st = &deltaState{} //ftlint:ignore hotpath: one-time per checkpoint family
-		l.deltas[k] = st
-	}
-	chunk := l.cfg.ChunkSize()
-	n := (len(payload) + chunk - 1) / chunk
-	if cap(st.scratch) < n {
-		st.scratch = make([]uint64, n) //ftlint:ignore hotpath: amortized growth, swapped across generations
-	}
-	cur := st.scratch[:n]
-	for i := 0; i < n; i++ {
-		end := min((i+1)*chunk, len(payload))
-		cur[i] = chunkHash(payload[i*chunk : end])
-	}
-	gen := nextGen()
-	var blob []byte
-	var err error
-	if st.lastGen == 0 || st.sinceFull+1 >= l.cfg.FullEvery {
-		blob, err = encodeFullInto(dst, logical, version, gen, payload)
-		if err != nil {
-			return nil, err
-		}
-		st.sinceFull = 0
-		l.dstats.FullFrames++
-		l.dstats.FullBytes += int64(len(blob))
-	} else {
-		blob = encodeDeltaInto(dst, logical, version, chainInfo{
-			kind: KindDelta, gen: gen, prevGen: st.lastGen, prevVer: st.lastVer,
-		}, payload, chunk, st.hashes, cur, &l.dstats)
-		st.sinceFull++
-		l.dstats.DeltaFrames++
-		l.dstats.DeltaBytes += int64(len(blob))
-	}
-	l.dstats.TotalChunks += int64(n)
-	st.hashes, st.scratch = cur, st.hashes
-	st.lastVer = version
-	st.lastGen = gen
-	return blob, nil
+	blob, _ := c.encode(dst, logical, version, payload, &l.dstats)
+	return blob
 }
 
-// --- tagged wire formats -----------------------------------------------------
+// --- wire format -------------------------------------------------------------
 
 const (
+	// headerLen is the shared frame header:
+	// [4B magic][4B logical][8B version][8B body length][4B CRC32].
+	headerLen = 4 + 4 + 8 + 8 + 4
 	// magicFull tags a generation-carrying full base frame ("GCP4").
 	magicFull = uint32(0x34504347)
 	// magicDelta tags a dirty-chunk delta frame ("GCP3").
@@ -265,12 +288,12 @@ func grow(dst []byte, need int) []byte {
 // encodeFullInto frames a generation-tagged full base (GCP4).
 //
 //ftlint:hotpath
-func encodeFullInto(dst []byte, logical int, version int64, gen uint64, payload []byte) ([]byte, error) {
+func encodeFullInto(dst []byte, logical int, version int64, gen uint64, payload []byte) []byte {
 	blob := grow(dst, headerLen+fullBodyHeader+len(payload)) //ftlint:ignore hotpath: inlined grow; amortized growth
 	binary.LittleEndian.PutUint64(blob[headerLen:], gen)
 	copy(blob[headerLen+fullBodyHeader:], payload)
 	stampFrame(blob, magicFull, logical, version)
-	return blob, nil
+	return blob
 }
 
 // encodeDeltaInto frames the dirty chunks of payload (those whose hash
@@ -317,14 +340,14 @@ func encodeDeltaInto(dst []byte, logical int, version int64, ci chainInfo, paylo
 	return blob
 }
 
-// frame is a decoded checkpoint frame of any kind. For full kinds payload
-// is the application payload; for deltas the dirty chunks reference the
-// frame blob (no copy).
+// frame is a decoded checkpoint frame. For a full base payload is the
+// application payload; for deltas the dirty chunks reference the frame
+// blob (no copy).
 type frame struct {
 	chain   chainInfo
 	logical int
 	version int64
-	payload []byte // KindLegacy / KindFull
+	payload []byte // KindFull
 
 	// Delta fields.
 	fullLen   int
@@ -338,8 +361,8 @@ type deltaChunk struct {
 	data []byte
 }
 
-// decodeFrame validates any checkpoint frame (CRC over header and body)
-// and returns its decoded form.
+// decodeFrame validates a checkpoint frame (CRC over header and body) and
+// returns its decoded form.
 func decodeFrame(blob []byte) (*frame, error) {
 	f := &frame{}
 	if err := decodeFrameInto(f, blob); err != nil {
@@ -360,17 +383,7 @@ func decodeFrameInto(f *frame, blob []byte) error {
 		return fmt.Errorf("%w: truncated header", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	m := binary.LittleEndian.Uint32(blob[0:])
-	switch m {
-	case magic, magicGzip:
-		payload, logical, version, err := decode(blob) //ftlint:ignore hotpath: legacy frames are off the mirror path
-		if err != nil {
-			return err
-		}
-		f.chain = chainInfo{kind: KindLegacy}
-		f.logical, f.version, f.payload = logical, version, payload
-		return nil
-	case magicFull, magicDelta:
-	default:
+	if m != magicFull && m != magicDelta {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt) //ftlint:ignore hotpath: corruption path only
 	}
 	logical := int(int32(binary.LittleEndian.Uint32(blob[4:])))
@@ -434,10 +447,11 @@ func decodeFrameInto(f *frame, blob []byte) error {
 
 // frameChain reads a frame's chain identity without the full CRC pass
 // (used on the seal-write path, where the frame was just encoded or
-// already verified).
+// already verified). A blob that is no tagged frame yields the zero
+// chainInfo, whose seal parseSeal rejects.
 func frameChain(blob []byte) chainInfo {
 	if len(blob) < headerLen {
-		return chainInfo{kind: KindLegacy}
+		return chainInfo{}
 	}
 	switch binary.LittleEndian.Uint32(blob[0:]) {
 	case magicFull:
@@ -455,7 +469,7 @@ func frameChain(blob []byte) chainInfo {
 			}
 		}
 	}
-	return chainInfo{kind: KindLegacy}
+	return chainInfo{}
 }
 
 // IsDeltaFrame reports whether an encoded checkpoint blob is a delta
@@ -490,26 +504,22 @@ func applyDelta(base []byte, f *frame) ([]byte, error) {
 	return out, nil
 }
 
-// --- chain-aware seals -------------------------------------------------------
+// --- seals -------------------------------------------------------------------
 
-// sealMagic2 marks the extended seal carrying chain identity.
-const sealMagic2 = uint32(0x4b4f4332) // "2COK"
+// sealMagic marks a seal object ("2COK").
+const sealMagic = uint32(0x4b4f4332)
 
-// sealBlobLen2 is the v2 seal length:
+// sealLen is the seal length:
 // [4B magic][1B kind][3B pad][8B version][8B gen][8B prevGen][8B prevVer].
-const sealBlobLen2 = 40
+const sealLen = 40
 
-// sealFor builds the seal object for an encoded frame: the legacy
-// 12-byte seal for legacy frames, the extended chain-carrying seal for
-// tagged frames. The restore side resolves base+delta chains from seal
-// metadata alone, without fetching frame bodies.
+// sealFor builds the seal object for an encoded frame. It echoes the
+// frame's chain identity, so the restore side resolves base+delta chains
+// from seal metadata alone, without fetching frame bodies.
 func sealFor(blob []byte, version int64) []byte {
 	ci := frameChain(blob)
-	if ci.kind == KindLegacy {
-		return sealBlob(version)
-	}
-	s := make([]byte, sealBlobLen2)
-	binary.LittleEndian.PutUint32(s[0:], sealMagic2)
+	s := make([]byte, sealLen)
+	binary.LittleEndian.PutUint32(s[0:], sealMagic)
 	s[4] = byte(ci.kind)
 	binary.LittleEndian.PutUint64(s[8:], uint64(version))
 	binary.LittleEndian.PutUint64(s[16:], ci.gen)
@@ -518,19 +528,20 @@ func sealFor(blob []byte, version int64) []byte {
 	return s
 }
 
-// parseSeal decodes a seal object of either format.
+// parseSeal decodes a seal object; ok is false for anything that is not a
+// seal of a full or delta frame.
 func parseSeal(blob []byte) (version int64, ci chainInfo, ok bool) {
-	switch {
-	case len(blob) == sealBlobLen2 && binary.LittleEndian.Uint32(blob) == sealMagic2:
-		ci = chainInfo{
-			kind:    FrameKind(blob[4]),
-			gen:     binary.LittleEndian.Uint64(blob[16:]),
-			prevGen: binary.LittleEndian.Uint64(blob[24:]),
-			prevVer: int64(binary.LittleEndian.Uint64(blob[32:])),
-		}
-		return int64(binary.LittleEndian.Uint64(blob[8:])), ci, true
-	case len(blob) >= 12 && binary.LittleEndian.Uint32(blob) == sealMagic:
-		return int64(binary.LittleEndian.Uint64(blob[4:])), chainInfo{kind: KindLegacy}, true
+	if len(blob) != sealLen || binary.LittleEndian.Uint32(blob) != sealMagic {
+		return 0, chainInfo{}, false
 	}
-	return 0, chainInfo{}, false
+	ci = chainInfo{
+		kind:    FrameKind(blob[4]),
+		gen:     binary.LittleEndian.Uint64(blob[16:]),
+		prevGen: binary.LittleEndian.Uint64(blob[24:]),
+		prevVer: int64(binary.LittleEndian.Uint64(blob[32:])),
+	}
+	if ci.kind != KindFull && ci.kind != KindDelta {
+		return 0, chainInfo{}, false
+	}
+	return int64(binary.LittleEndian.Uint64(blob[8:])), ci, true
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -294,30 +295,6 @@ func TestReplicateOverlapsNeighborAndPFS(t *testing.T) {
 	}
 }
 
-// TestDeltaLegacyInterop: a library with the delta engine off must keep
-// writing frames a delta-enabled reader restores, and vice versa — the
-// legacy full-blob path stays selectable.
-func TestDeltaLegacyInterop(t *testing.T) {
-	cl := testCluster(t, 3)
-	legacy := New(cl, 0, Config{})
-	defer legacy.Stop()
-	legacy.SetWorkerNodes([]int{0, 1, 2})
-	if err := legacy.Write("state", 0, 1, []byte("legacy blob")); err != nil {
-		t.Fatal(err)
-	}
-	legacy.WaitIdle()
-	deltaReader := New(cl, 0, Config{FullEvery: 4})
-	defer deltaReader.Stop()
-	deltaReader.SetWorkerNodes([]int{0, 1, 2})
-	if v, ok := deltaReader.FindLatest("state", 0); !ok || v != 1 {
-		t.Fatalf("delta reader FindLatest on legacy store = %d, %v", v, ok)
-	}
-	got, err := deltaReader.Fetch("state", 0, 1)
-	if err != nil || string(got) != "legacy blob" {
-		t.Fatalf("delta reader on legacy frame: %q, %v", got, err)
-	}
-}
-
 // TestDeltaFrameRoundtrip property-checks the delta wire format directly:
 // random payload evolutions, random chunk sizes, reassembly through
 // decodeFrame+applyDelta must equal the golden payload.
@@ -365,6 +342,16 @@ func TestDeltaFrameRoundtrip(t *testing.T) {
 		}
 		if !bytes.Equal(got, cur) {
 			t.Fatalf("trial %d: reassembly mismatch (chunk %d, %d -> %d bytes)", trial, chunk, prevLen, curLen)
+		}
+		// Any flipped byte fails the frame CRC (or the magic check), and
+		// any truncation fails the body-length check.
+		bad := append([]byte(nil), blob...)
+		bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+		if _, err := decodeFrame(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trial %d: corrupted delta frame accepted: %v", trial, err)
+		}
+		if _, err := decodeFrame(blob[:rng.Intn(len(blob))]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trial %d: truncated delta frame accepted: %v", trial, err)
 		}
 	}
 }
@@ -426,10 +413,6 @@ func BenchmarkDeltaStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[(i*4096+i)%len(payload)] ^= 0xA5 // ~1 dirty chunk per epoch
-		blob, err := lib.encodeNext(buf[:0], "bench", 0, int64(i+1), payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = blob
+		buf = lib.encodeNext(buf[:0], "bench", 0, int64(i+1), payload)
 	}
 }

@@ -9,18 +9,25 @@ import (
 	"sync/atomic"
 )
 
-// The restore fast path. The legacy restore walked the storage tiers one
-// at a time (local → neighbor → remote → PFS) and read whole blobs from
-// the first tier that answered — time-to-recover paid the full blob at a
-// single replica's bandwidth, while every other intact copy idled. The
-// striped fetcher instead resolves, from seal metadata alone, the set of
-// stores holding byte-identical copies (same generation tag) and fans
-// fixed-size stripes out to all of them concurrently through a shared
-// work queue: fast sources naturally claim more stripes, a source dying
-// mid-fetch has its stripes re-queued and re-fetched elsewhere
-// (first-complete-wins per stripe), and the assembled frame is CRC-checked
-// before use. Delta chains are resolved link by link (each link fetched
-// striped) and reassembled base-first with an end-to-end payload CRC.
+// The restore path. One walk serves every restore: the seal scan
+// resolves, from seal metadata alone, the version's base+delta chain and,
+// per link, the set of alive stores holding byte-identical copies (same
+// generation tag). Each link is then read and CRC-checked:
+//
+//   - A frame that fits in one stripe is read whole from the cheapest
+//     tier (local → neighbor → remote → PFS), falling back tier by tier
+//     when a read fails or a copy fails verification.
+//   - A frame spanning several stripes with more than one source is read
+//     striped: fixed-size stripes fan out to all sources concurrently
+//     through a shared work queue, fast sources naturally claim more
+//     stripes, a source dying mid-fetch has its stripes re-queued and
+//     re-fetched elsewhere (first-complete-wins per stripe). A striped
+//     read that fails, or assembles a frame failing verification, falls
+//     back to the whole-frame tier walk.
+//
+// The links are reassembled base-first with an end-to-end payload CRC. A
+// chain that cannot be fetched returns its error; the caller's version
+// agreement then retreats below the unrestorable version.
 
 // replicaRef is one alive store holding a sealed replica.
 type replicaRef struct {
@@ -71,7 +78,7 @@ func (l *Library) sealScan(name string, logical int) map[int64][]replicaRef {
 				continue
 			}
 			sv, ci, ok := parseSeal(blob)
-			if !ok || (ci.kind != KindLegacy && sv != kv) {
+			if !ok || sv != kv {
 				continue
 			}
 			out[kv] = append(out[kv], replicaRef{node: nodeID, src: classify(nodeID), ci: ci})
@@ -107,19 +114,17 @@ func srcRank(s RestoreSource) int {
 // sealed on at least one alive store, and a delta only links to a
 // predecessor sealed with the exact generation tag it was diffed against
 // (a version overwritten after a recovery gets a fresh tag, so a forked
-// chain is detected as broken instead of being mis-assembled). Legacy
-// (untagged) replicas are self-contained single-link chains.
+// chain is detected as broken instead of being mis-assembled).
 func resolveChain(reps map[int64][]replicaRef, v int64) (links []chainLink, ok bool) {
 	variants := func(version int64) []chainLink {
 		byGen := make(map[uint64]*chainLink)
 		var order []uint64
 		for _, r := range reps[version] {
-			key := r.ci.gen // 0 for legacy
-			cl, ok := byGen[key]
+			cl, ok := byGen[r.ci.gen]
 			if !ok {
 				cl = &chainLink{version: version, ci: r.ci}
-				byGen[key] = cl
-				order = append(order, key)
+				byGen[r.ci.gen] = cl
+				order = append(order, r.ci.gen)
 			}
 			cl.sources = append(cl.sources, r)
 		}
@@ -141,16 +146,14 @@ func resolveChain(reps map[int64][]replicaRef, v int64) (links []chainLink, ok b
 			if needGen != 0 && cand.ci.gen != needGen {
 				continue
 			}
-			switch cand.ci.kind {
-			case KindDelta:
-				tail, ok := walk(cand.ci.prevVer, cand.ci.prevGen, depth+1)
-				if !ok {
-					continue
-				}
-				return append(tail, cand), true
-			default:
+			if cand.ci.kind == KindFull {
 				return []chainLink{cand}, true
 			}
+			tail, ok := walk(cand.ci.prevVer, cand.ci.prevGen, depth+1)
+			if !ok {
+				continue
+			}
+			return append(tail, cand), true
 		}
 		return nil, false
 	}
@@ -194,24 +197,16 @@ func (l *Library) FindLatestBelow(name string, logical int, bound int64) (int64,
 }
 
 // FetchFrom is Fetch reporting the replica's source. It resolves the
-// version's base+delta chain from seal metadata, fetches every link —
-// striped across all same-generation stores unless Config.
-// SequentialRestore is set — and reassembles the payload with end-to-end
-// CRC verification. The reported source is the tier that served the most
-// bytes (ties break toward the cheaper tier); when the seal-driven path
-// finds nothing it falls back to the legacy single-tier walk, preserving
-// the pre-delta behavior for untagged stores.
+// version's base+delta chain from seal metadata, fetches and verifies
+// every link, and reassembles the payload with end-to-end CRC
+// verification. The reported source is the tier that served the most
+// bytes (ties break toward the cheaper tier).
 func (l *Library) FetchFrom(name string, logical int, version int64) ([]byte, RestoreSource, error) {
-	reps := l.sealScan(name, logical)
-	if links, ok := resolveChain(reps, version); ok {
-		if payload, src, err := l.fetchChain(name, logical, links); err == nil {
-			return payload, src, nil
-		}
-		// A link vanished or failed verification between the seal scan and
-		// the reads (e.g. a source died): fall through to the tier walk,
-		// which may still find a self-contained copy.
+	links, ok := resolveChain(l.sealScan(name, logical), version)
+	if !ok {
+		return nil, RestoreNone, fmt.Errorf("%w: %s", ErrNoCheckpoint, Key(name, logical, version))
 	}
-	return l.legacyWalk(name, logical, version)
+	return l.fetchChain(name, logical, links)
 }
 
 // fetchChain fetches and reassembles a resolved chain (base first).
@@ -219,16 +214,9 @@ func (l *Library) fetchChain(name string, logical int, links []chainLink) ([]byt
 	var payload []byte
 	tierBytes := make(map[RestoreSource]int64)
 	for i, link := range links {
-		blob, err := l.fetchBlob(Key(name, logical, link.version), link, tierBytes)
+		f, err := l.fetchFrame(Key(name, logical, link.version), logical, link, tierBytes)
 		if err != nil {
 			return nil, RestoreNone, err
-		}
-		f, err := decodeFrame(blob)
-		if err != nil {
-			return nil, RestoreNone, err
-		}
-		if f.logical != logical || f.version != link.version || f.chain.gen != link.ci.gen {
-			return nil, RestoreNone, fmt.Errorf("%w: replica identity mismatch at v%d", ErrCorrupt, link.version)
 		}
 		switch f.chain.kind {
 		case KindDelta:
@@ -240,7 +228,7 @@ func (l *Library) fetchChain(name string, logical int, links []chainLink) ([]byt
 				return nil, RestoreNone, err
 			}
 		default:
-			// Every fetch path returns a privately owned blob (the striped
+			// Every read returns a privately owned blob (the striped
 			// assembly buffer, or a store's defensive copy), so the frame
 			// payload can serve directly as the mutable reassembly buffer
 			// for the deltas above it — no base-sized copy.
@@ -257,37 +245,85 @@ func (l *Library) fetchChain(name string, logical int, links []chainLink) ([]byt
 	return payload, best, nil
 }
 
-// fetchBlob reads one link's frame: striped across all of the link's
-// sources when the striped fetcher applies, else sequentially from the
-// cheapest source that delivers an intact copy. tierBytes accumulates
-// delivered bytes per tier for the provenance classification.
-func (l *Library) fetchBlob(key string, link chainLink, tierBytes map[RestoreSource]int64) ([]byte, error) {
+// fetchFrame reads and verifies one link's frame: striped across the
+// link's sources when the frame spans more than one stripe, else (and as
+// the fallback of a failed striped read) whole from the cheapest source
+// that delivers an intact copy. tierBytes accumulates the bytes of the
+// verified read per tier for the provenance classification.
+func (l *Library) fetchFrame(key string, logical int, link chainLink, tierBytes map[RestoreSource]int64) (*frame, error) {
 	sources := append([]replicaRef(nil), link.sources...)
-	sort.Slice(sources, func(i, j int) bool { return srcRank(sources[i].src) < srcRank(sources[j].src) })
-	// Striping requires byte-identical copies, which only the generation
-	// tag guarantees; legacy (gen-0) replicas and single sources read
-	// sequentially.
-	if !l.cfg.SequentialRestore && link.ci.gen != 0 && len(sources) > 1 {
-		if blob, err := l.fetchStriped(key, sources, tierBytes); err == nil {
-			return blob, nil
+	sort.SliceStable(sources, func(i, j int) bool { return srcRank(sources[i].src) < srcRank(sources[j].src) })
+	verify := func(blob []byte) (*frame, error) {
+		f, err := decodeFrame(blob)
+		if err != nil {
+			return nil, err
 		}
-		// Striped failure (every source died mid-fetch): fall back to the
-		// sequential walk over whatever still answers.
+		if f.logical != logical || f.version != link.version || f.chain.gen != link.ci.gen {
+			return nil, fmt.Errorf("%w: replica identity mismatch at v%d", ErrCorrupt, link.version)
+		}
+		return f, nil
 	}
-	var lastErr error
+	if size, ok := l.replicaSize(key, sources); ok && len(sources) > 1 {
+		if stripe, n := l.stripeLayout(size, len(sources)); n > 1 {
+			if blob, got, err := l.fetchStriped(key, sources, size, stripe, n); err == nil {
+				if f, err := verify(blob); err == nil {
+					for src, b := range got {
+						tierBytes[src] += b
+					}
+					return f, nil
+				}
+			}
+		}
+	}
+	lastErr := fmt.Errorf("%w: %s", ErrNoCheckpoint, key)
 	for _, s := range sources {
 		blob, err := l.readWhole(s, key)
 		if err != nil {
 			lastErr = err
 			continue
 		}
+		f, err := verify(blob)
+		if err != nil {
+			lastErr = err
+			continue
+		}
 		tierBytes[s.src] += int64(len(blob))
-		return blob, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: %s", ErrNoCheckpoint, key)
+		return f, nil
 	}
 	return nil, lastErr
+}
+
+// replicaSize returns the stored size of key on the first source that
+// still holds it.
+func (l *Library) replicaSize(key string, sources []replicaRef) (int, bool) {
+	for _, s := range sources {
+		var n int
+		var ok bool
+		if s.node < 0 {
+			n, ok = l.cl.PFS().Size(key)
+		} else {
+			n, ok = l.cl.Node(s.node).Size(key)
+		}
+		if ok {
+			return n, true
+		}
+	}
+	return 0, false
+}
+
+// stripeLayout sizes the stripes of a striped read: chunk-aligned, but
+// targeting a few stripes per source rather than one stripe per chunk —
+// each range read pays a per-op latency floor, so sub-megabyte stripes
+// would drown the parallelism in fixed costs. A handful of stripes per
+// source keeps the work queue balancing (fast sources claim more) and
+// bounds the re-fetch cost when a source dies mid-stripe. A frame of at
+// most one chunk is a single stripe.
+func (l *Library) stripeLayout(size, sources int) (stripe, n int) {
+	const stripesPerSource = 4
+	chunk := l.cfg.ChunkSize()
+	stripe = (size + stripesPerSource*sources - 1) / (stripesPerSource * sources)
+	stripe = max((stripe+chunk-1)/chunk*chunk, chunk)
+	return stripe, (size + stripe - 1) / stripe
 }
 
 func (l *Library) readWhole(s replicaRef, key string) ([]byte, error) {
@@ -304,47 +340,14 @@ func (l *Library) readRange(s replicaRef, key string, off, length int) ([]byte, 
 	return l.cl.Node(s.node).GetRange(key, off, length, l.storage())
 }
 
-// fetchStriped reads one blob concurrently from several byte-identical
-// sources: stripes go through a shared work queue (fast sources claim
-// more), a failed source re-queues its stripe and retires, and the first
-// completed copy of each stripe wins. Fails only when every source dies
+// fetchStriped reads one blob of size bytes, in nStripes stripes, from
+// several byte-identical sources concurrently: stripes go through a shared
+// work queue (fast sources claim more), a failed source re-queues its
+// stripe and retires, and the first completed copy of each stripe wins.
+// got is the bytes each tier delivered. Fails only when every source dies
 // with stripes outstanding.
-func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[RestoreSource]int64) ([]byte, error) {
-	size := -1
-	for _, s := range sources {
-		var n int
-		var ok bool
-		if s.node < 0 {
-			n, ok = l.cl.PFS().Size(key)
-		} else {
-			n, ok = l.cl.Node(s.node).Size(key)
-		}
-		if ok {
-			size = n
-			break
-		}
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoCheckpoint, key)
-	}
-	// Stripe sizing: chunk-aligned, but targeting a few stripes per source
-	// rather than one stripe per chunk — each range read pays a per-op
-	// latency floor, so sub-megabyte stripes would drown the parallelism
-	// in fixed costs. A handful of stripes per source keeps the work queue
-	// balancing (fast sources claim more) and bounds the re-fetch cost
-	// when a source dies mid-stripe.
-	const stripesPerSource = 4
-	chunk := l.cfg.ChunkSize()
-	stripe := (size + stripesPerSource*len(sources) - 1) / (stripesPerSource * len(sources))
-	stripe = (stripe + chunk - 1) / chunk * chunk
-	if stripe < chunk {
-		stripe = chunk
-	}
-	nStripes := (size + stripe - 1) / stripe
-	if nStripes == 0 {
-		nStripes = 1 // zero-length blob: one empty stripe keeps the flow uniform
-	}
-	buf := make([]byte, size)
+func (l *Library) fetchStriped(key string, sources []replicaRef, size, stripe, nStripes int) (buf []byte, got map[RestoreSource]int64, err error) {
+	buf = make([]byte, size)
 	pending := make(chan int, nStripes+len(sources))
 	for i := 0; i < nStripes; i++ {
 		pending <- i
@@ -354,11 +357,7 @@ func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[R
 	remaining.Store(int64(nStripes))
 	done := make(chan struct{})
 
-	// Tier credits are accumulated locally and merged into tierBytes only
-	// on success: a striped attempt that fails (and falls back to the
-	// sequential walk) must not leave its discarded stripes in the
-	// provenance accounting.
-	got := make(map[RestoreSource]int64)
+	got = make(map[RestoreSource]int64)
 	var tierMu sync.Mutex
 	var wg sync.WaitGroup
 	for _, s := range sources {
@@ -399,69 +398,16 @@ func (l *Library) fetchStriped(key string, sources []replicaRef, tierBytes map[R
 	}
 	exhausted := make(chan struct{})
 	go func() { wg.Wait(); close(exhausted) }()
-	merge := func() {
-		tierMu.Lock()
-		for src, b := range got {
-			tierBytes[src] += b
-		}
-		tierMu.Unlock()
-	}
 	select {
 	case <-done:
-		merge()
-		return buf, nil
 	case <-exhausted:
-		if remaining.Load() == 0 {
-			merge()
-			return buf, nil
-		}
-		return nil, fmt.Errorf("checkpoint: striped read of %s: all %d sources failed with %d stripes outstanding",
+	}
+	if remaining.Load() != 0 {
+		return nil, nil, fmt.Errorf("checkpoint: striped read of %s: all %d sources failed with %d stripes outstanding",
 			key, len(sources), remaining.Load())
 	}
-}
-
-// legacyWalk is the pre-striping restore: local store first (intact after
-// a mere process death), then the ring neighbor (the replica that
-// survives a whole-node loss), then every other alive node, and the PFS
-// last, reading whole blobs and skipping corrupt or delta-framed copies
-// (a delta cannot be restored without its chain, which the seal-driven
-// path already failed to resolve).
-func (l *Library) legacyWalk(name string, logical int, version int64) ([]byte, RestoreSource, error) {
-	key := Key(name, logical, version)
-	tryNode := func(nodeID int) ([]byte, bool) {
-		if nodeID < 0 || !l.cl.NodeAlive(nodeID) {
-			return nil, false
-		}
-		blob, err := l.cl.Node(nodeID).Get(key, l.storage())
-		if err != nil {
-			return nil, false
-		}
-		f, err := decodeFrame(blob)
-		if err != nil || f.chain.kind == KindDelta || f.logical != logical || f.version != version {
-			return nil, false
-		}
-		return f.payload, true
-	}
-	if p, ok := tryNode(l.nodeID); ok {
-		return p, RestoreLocal, nil
-	}
-	nb := l.Neighbor()
-	if p, ok := tryNode(nb); ok {
-		return p, RestoreNeighbor, nil
-	}
-	for nodeID := 0; nodeID < l.cl.NumNodes(); nodeID++ {
-		if nodeID == l.nodeID || nodeID == nb {
-			continue
-		}
-		if p, ok := tryNode(nodeID); ok {
-			return p, RestoreRemote, nil
-		}
-	}
-	if blob, err := l.cl.PFS().Get(key); err == nil {
-		if f, derr := decodeFrame(blob); derr == nil && f.chain.kind != KindDelta &&
-			f.logical == logical && f.version == version {
-			return f.payload, RestorePFS, nil
-		}
-	}
-	return nil, RestoreNone, fmt.Errorf("%w: %s", ErrNoCheckpoint, key)
+	// Every stripe is claimed, so no source writes got any more.
+	tierMu.Lock()
+	defer tierMu.Unlock()
+	return buf, got, nil
 }

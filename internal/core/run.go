@@ -683,14 +683,14 @@ func pushMirror(ctx *Ctx, app App, w *ft.Worker, enc *checkpoint.MirrorEncoder, 
 // The agreement is a verified loop, not a single allreduce: each round
 // takes the minimum of every member's proposal, every member then
 // actually fetches the agreed version, and a second allreduce confirms
-// everyone succeeded. With the incremental delta engine, restorability is
-// not monotonic in version (a chain broken by lost replicas can hole out
-// an old version while a newer full base stays intact), so a version
-// below some member's newest can still be unrestorable for it — as can a
-// pruned version under the legacy format. A failed fetch retreats the
-// proposal below the failed version and the loop re-agrees; members that
-// fetched fine discard the payload and follow, keeping the group
-// consistent. The loop strictly decreases the agreed version, ending at
+// everyone succeeded. With delta generations, restorability is not
+// monotonic in version (a chain broken by lost replicas can hole out an
+// old version while a newer full base stays intact), so a version below
+// some member's newest can still be unrestorable for it — as can a pruned
+// version, or one whose every source failed mid-fetch. A failed fetch
+// retreats the proposal below the failed version and the loop re-agrees;
+// members that fetched fine discard the payload and follow, keeping the
+// group consistent. The loop strictly decreases the agreed version, ending at
 // worst in the restart-from-scratch branch.
 func reload(ctx *Ctx, app App) (int64, error) {
 	stop := ctx.Rec.Start(trace.PhaseReinit)

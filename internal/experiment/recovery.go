@@ -5,13 +5,13 @@ package experiment
 // paper's actual headline. Three arms:
 //
 //  1. Checkpoint visible cost vs dirty fraction: the synchronous commit
-//     discipline's application-visible Write time, legacy full blobs vs
-//     the incremental delta engine, at 10%/50%/100% of the payload dirty
-//     per interval. The delta engine's win scales with the clean
-//     fraction; at 100% dirty it honestly pays a small diffing premium.
-//  2. Restore bandwidth: one checkpoint generation replicated across
-//     several nodes plus the PFS, restored with the legacy sequential
-//     tier walk vs the striped multi-source fetcher.
+//     discipline's application-visible Write time, every generation a
+//     full base vs delta generations between periodic bases, at
+//     10%/50%/100% of the payload dirty per interval. The delta win
+//     scales with the clean fraction; at 100% dirty it honestly pays a
+//     small diffing premium.
+//  2. Restore bandwidth: one checkpoint generation restored by the same
+//     fetcher from a single replica and from several nodes plus the PFS.
 //  3. End-to-end time-to-recover: the scenario engine's mid-iteration
 //     kill -9 with the delta engine enabled, decomposed into
 //     detect → ack → rebuild → restore from the trace counters.
@@ -254,33 +254,34 @@ func RunCheckpointCost(c RecoveryBenchConfig) ([]CheckpointCostRow, error) {
 	return rows, nil
 }
 
-// RestoreBenchRow compares the sequential tier walk against the striped
-// multi-source fetcher on one replicated checkpoint generation.
+// RestoreBenchRow compares the restore fetcher reading one checkpoint
+// generation from a single replica against reading it from every replica
+// at once.
 type RestoreBenchRow struct {
 	BlobBytes int `json:"blob_bytes"`
-	// Sources is node replicas + 1 PFS copy.
-	Sources        int     `json:"sources"`
-	SequentialMs   float64 `json:"sequential_ms"`
-	StripedMs      float64 `json:"striped_ms"`
-	SequentialMBpS float64 `json:"sequential_mb_per_sec"`
-	StripedMBpS    float64 `json:"striped_mb_per_sec"`
-	Speedup        float64 `json:"speedup"`
+	// Sources is node replicas + 1 PFS copy (the striped arm).
+	Sources     int     `json:"sources"`
+	SingleMs    float64 `json:"single_source_ms"`
+	StripedMs   float64 `json:"striped_ms"`
+	SingleMBpS  float64 `json:"single_source_mb_per_sec"`
+	StripedMBpS float64 `json:"striped_mb_per_sec"`
+	Speedup     float64 `json:"speedup"`
 }
 
-// RunRestoreBench seeds one generation across c.Replicas nodes plus the
-// PFS and restores it both ways from a node holding no local copy.
+// RunRestoreBench writes one generation on node 1 and restores it from
+// node 0 (which holds no copy) twice with the same fetcher: first with
+// node 1's store as the only replica, then after widening the replica set
+// to c.Replicas nodes plus the PFS.
 func RunRestoreBench(c RecoveryBenchConfig) (RestoreBenchRow, error) {
 	c = c.WithDefaults()
 	row := RestoreBenchRow{BlobBytes: c.RestoreBytes, Sources: c.Replicas + 1}
-	cl, err := idleCluster(c.Replicas + 1, c.Seed)
+	cl, err := idleCluster(c.Replicas+1, c.Seed)
 	if err != nil {
 		return row, err
 	}
 	defer cl.Close()
-	// Write the generation once on node 1 (its copier replicates to node
-	// 2), then widen the replica set by hand to every remaining node and
-	// the PFS — all byte-identical, all sealed under the same generation
-	// tag, exactly what a PFSEvery-configured run leaves behind.
+	// The writer has no ring neighbor, so its local commit is the only
+	// replica until the set is widened by hand.
 	const name = "restore"
 	rng := rand.New(rand.NewSource(c.Seed + 1))
 	payload := make([]byte, c.RestoreBytes)
@@ -288,31 +289,17 @@ func RunRestoreBench(c RecoveryBenchConfig) (RestoreBenchRow, error) {
 	writer := checkpoint.New(cl, 1, checkpoint.Config{
 		Name: name, ChunkBytes: c.ChunkBytes, FullEvery: c.FullEvery,
 	})
-	writer.SetWorkerNodes([]int{1, 2})
+	writer.SetWorkerNodes([]int{1})
 	if err := writer.Write(name, 0, 1, payload); err != nil {
 		writer.Stop()
 		return row, err
 	}
 	writer.WaitIdle()
 	writer.Stop()
-	key := checkpoint.Key(name, 0, 1)
-	blob, err := cl.Node(1).Get(key, cl.Storage())
-	if err != nil {
-		return row, err
-	}
-	for node := 3; node <= c.Replicas; node++ {
-		if err := checkpoint.StoreReplica(cl, node, key, blob); err != nil {
-			return row, err
-		}
-	}
-	if err := checkpoint.StorePFSReplica(cl, key, blob); err != nil {
-		return row, err
-	}
 
-	restore := func(sequential bool) (time.Duration, error) {
+	restore := func() (time.Duration, error) {
 		lib := checkpoint.New(cl, 0, checkpoint.Config{
-			Name: name, ChunkBytes: c.ChunkBytes,
-			FullEvery: c.FullEvery, SequentialRestore: sequential,
+			Name: name, ChunkBytes: c.ChunkBytes, FullEvery: c.FullEvery,
 		})
 		defer lib.Stop()
 		nodes := make([]int, c.Replicas+1)
@@ -341,20 +328,37 @@ func RunRestoreBench(c RecoveryBenchConfig) (RestoreBenchRow, error) {
 		}
 		return best, nil
 	}
-	seq, err := restore(true)
+	single, err := restore()
 	if err != nil {
-		return row, fmt.Errorf("sequential restore: %w", err)
+		return row, fmt.Errorf("single-source restore: %w", err)
 	}
-	striped, err := restore(false)
+
+	// Widen the replica set to every remaining node and the PFS — all
+	// byte-identical, all sealed under the same generation tag, exactly
+	// what a PFSEvery-configured run leaves behind.
+	key := checkpoint.Key(name, 0, 1)
+	blob, err := cl.Node(1).Get(key, cl.Storage())
+	if err != nil {
+		return row, err
+	}
+	for node := 2; node <= c.Replicas; node++ {
+		if err := checkpoint.StoreReplica(cl, node, key, blob); err != nil {
+			return row, err
+		}
+	}
+	if err := checkpoint.StorePFSReplica(cl, key, blob); err != nil {
+		return row, err
+	}
+	striped, err := restore()
 	if err != nil {
 		return row, fmt.Errorf("striped restore: %w", err)
 	}
 	mb := float64(c.RestoreBytes) / (1 << 20)
-	row.SequentialMs = float64(seq.Nanoseconds()) / 1e6
+	row.SingleMs = float64(single.Nanoseconds()) / 1e6
 	row.StripedMs = float64(striped.Nanoseconds()) / 1e6
-	row.SequentialMBpS = mb / seq.Seconds()
+	row.SingleMBpS = mb / single.Seconds()
 	row.StripedMBpS = mb / striped.Seconds()
-	row.Speedup = seq.Seconds() / striped.Seconds()
+	row.Speedup = single.Seconds() / striped.Seconds()
 	return row, nil
 }
 

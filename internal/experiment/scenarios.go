@@ -79,9 +79,9 @@ type ScenarioSpec struct {
 	Async bool
 	// PFSEvery writes every k-th checkpoint version also to the PFS.
 	PFSEvery int
-	// FullEvery enables the incremental delta checkpoint engine (every
-	// k-th generation a full base, dirty-chunk deltas between; 0 = the
-	// legacy full-blob format).
+	// FullEvery enables delta checkpoint generations (every k-th
+	// generation a full base, dirty-chunk deltas between; 0 = every
+	// generation a full base).
 	FullEvery int
 	// Localized enables the non-collective O(degree) group repair
 	// (ft.Config.LocalizedRepair) for this row.

@@ -41,8 +41,7 @@ type Config struct {
 	// LegacyCollectives disables the registered-segment collective fast
 	// path: Barrier/Allreduce fall back to the pre-optimization two-sided
 	// message protocol. It exists so the hot-path benchmarks can measure
-	// the before/after delta in one binary (like spmvm.Engine.Legacy);
-	// every rank of a job shares the setting, so the paths never mix
+	// the before/after delta in one binary; every rank of a job shares the setting, so the paths never mix
 	// within a group.
 	LegacyCollectives bool
 }

@@ -117,16 +117,6 @@ type Engine struct {
 	tasks     chan mulTask
 	mulWG     sync.WaitGroup
 	closeOnce sync.Once
-
-	// Legacy replays the pre-optimization data path (per-iteration halo
-	// vector allocation, re-marshalled send buffer, linear producer scan,
-	// goroutine-per-call sharding, copying WriteNotify, no parity regions
-	// — so iterations must be barrier-separated). It exists solely so the
-	// hot-path benchmarks can measure the before/after delta in one
-	// binary; every rank of a job must agree on the setting.
-	Legacy bool
-
-	recvSet []bool // legacy collectHalo state
 }
 
 // NewEngine builds an engine: it creates the halo segment, splits the local
@@ -192,7 +182,6 @@ func NewEngine(c Comm, plan *Plan, csr *matrix.CSR, seg gaspi.SegmentID) (*Engin
 		e.expectFrom[plan.RecvFrom[i].From] = true
 	}
 	e.recvGen = make([]int64, plan.Workers)
-	e.recvSet = make([]bool, plan.Workers)
 	return e, nil
 }
 
@@ -294,7 +283,7 @@ func (e *Engine) LocalRows() int { return int(e.plan.Hi - e.plan.Lo) }
 
 // FastPath reports whether the zero-copy registered-segment path is
 // active (the Comm supports it and the host offers the float64 view).
-func (e *Engine) FastPath() bool { return e.segF != nil && !e.Legacy }
+func (e *Engine) FastPath() bool { return e.segF != nil }
 
 // Close releases the engine's persistent worker pool. Safe to call more
 // than once; the engine must not be used afterwards. Callers that rebuild
@@ -321,9 +310,6 @@ func (e *Engine) SpMV(x, y []float64, it int64) error {
 	if len(x) != e.LocalRows() || len(y) != e.LocalRows() {
 		//ftlint:ignore hotpath: error path, taken once per misuse, never per iteration
 		return fmt.Errorf("spmvm: vector length %d/%d, want %d", len(x), len(y), e.LocalRows())
-	}
-	if e.Legacy {
-		return e.spmvLegacy(x, y, it)
 	}
 	epoch := e.comm.Epoch()
 	val := notifVal(epoch, it)
@@ -471,10 +457,6 @@ func (e *Engine) mul(s *sellPart, x, y []float64, add bool) {
 	n := s.chunks()
 	if e.Threads <= 1 || n < 2*e.Threads {
 		s.mulChunks(x, y, add, 0, n)
-		return
-	}
-	if e.Legacy {
-		e.mulLegacy(s, x, y, add, n)
 		return
 	}
 	if e.tasks == nil {

@@ -33,67 +33,28 @@ func TestSpMVFastPathActive(t *testing.T) {
 	})
 }
 
-// TestSpMVLegacyMatchesFast runs the same power iteration through the
-// legacy (pre-optimization) data path and the current one; the results
-// must agree bit-for-bit — the two paths differ in copies, buffers and
-// synchronization, never in arithmetic.
-func TestSpMVLegacyMatchesFast(t *testing.T) {
-	gen := matrix.DefaultGraphene(8, 6, 17)
-	dim := gen.Dim()
-	const workers = 3
-	const iters = 4
-	xg := globalVec(dim)
-
-	run := func(legacy bool) []float64 {
-		var mu sync.Mutex
-		got := make([]float64, dim)
-		runWorkers(t, workers, func(c Comm) error {
-			lo, hi := matrix.BlockRange(dim, workers, c.Logical())
-			csr := matrix.Build(gen, lo, hi)
-			plan, err := Preprocess(c, csr)
-			if err != nil {
-				return err
-			}
-			eng, err := NewEngine(c, plan, csr, 7)
-			if err != nil {
-				return err
-			}
-			defer eng.Close()
-			eng.Legacy = legacy
-			x := append([]float64(nil), xg[lo:hi]...)
-			y := make([]float64, hi-lo)
-			for it := 0; it < iters; it++ {
-				if err := eng.SpMV(x, y, int64(it)); err != nil {
-					return err
-				}
-				x, y = y, x
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-			}
-			mu.Lock()
-			copy(got[lo:hi], x)
-			mu.Unlock()
-			return nil
-		})
-		return got
-	}
-
-	legacy := run(true)
-	fast := run(false)
-	for i := range legacy {
-		if legacy[i] != fast[i] {
-			t.Fatalf("row %d: legacy %v != fast %v", i, legacy[i], fast[i])
-		}
-	}
-}
-
 // TestSpMVBackToBackNoBarrier drives iterations with no inter-iteration
 // collective at all: the parity-alternated halo regions must keep
 // producers from clobbering values a consumer has not yet read. The
 // graphene pattern is symmetric (every consumer is also a producer), which
-// is the documented requirement for barrier-free operation.
+// is the documented requirement for barrier-free operation. The
+// barrier-separated input runs the same power iteration with a barrier
+// between iterations. Both must match the two-pass CSR reference
+// (refSpMV over the same row blocks) bit for bit — synchronization
+// changes when halo values move, never the arithmetic — and the
+// matrix.Full product to rounding (the engine sums a row's local entries
+// before its remote ones, so the last bits differ from a row-order sum).
 func TestSpMVBackToBackNoBarrier(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		name := "free-running"
+		if barrier {
+			name = "barrier-separated"
+		}
+		t.Run(name, func(t *testing.T) { testPowerIteration(t, barrier) })
+	}
+}
+
+func testPowerIteration(t *testing.T, barrier bool) {
 	gen := matrix.DefaultGraphene(8, 6, 42)
 	dim := gen.Dim()
 	const workers = 4
@@ -102,10 +63,17 @@ func TestSpMVBackToBackNoBarrier(t *testing.T) {
 	xg := globalVec(dim)
 	full := matrix.Full(gen)
 	ref := append([]float64(nil), xg...)
+	exact := append([]float64(nil), xg...)
 	for it := 0; it < iters; it++ {
 		y := make([]float64, dim)
 		full.MulVec(ref, y)
 		ref = y
+		y = make([]float64, dim)
+		for w := 0; w < workers; w++ {
+			lo, hi := matrix.BlockRange(dim, workers, w)
+			refSpMV(matrix.Build(gen, lo, hi), exact, y[lo:hi])
+		}
+		exact = y
 	}
 
 	var mu sync.Mutex
@@ -129,6 +97,11 @@ func TestSpMVBackToBackNoBarrier(t *testing.T) {
 				return fmt.Errorf("iter %d: %w", it, err)
 			}
 			x, y = y, x
+			if barrier {
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+			}
 		}
 		mu.Lock()
 		copy(got[lo:hi], x)
@@ -137,9 +110,12 @@ func TestSpMVBackToBackNoBarrier(t *testing.T) {
 	})
 
 	for i := range ref {
+		if got[i] != exact[i] {
+			t.Fatalf("row %d: got %v, two-pass reference %v", i, got[i], exact[i])
+		}
 		scale := math.Max(1, math.Abs(ref[i]))
 		if math.Abs(got[i]-ref[i]) > 1e-9*scale {
-			t.Fatalf("row %d: got %v want %v", i, got[i], ref[i])
+			t.Fatalf("row %d: got %v, matrix.Full %v", i, got[i], ref[i])
 		}
 	}
 }
